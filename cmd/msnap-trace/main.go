@@ -22,13 +22,12 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net" //lint:allow sockio smoke client for the obs loopback endpoint
+	"net/http" //lint:allow sockio smoke client for the obs loopback endpoint
 	"os"
 	"sync"
 
@@ -95,8 +94,8 @@ func run() int {
 	runWorkload(svc, *clients, *ops, *keys, *seed, sampler)
 
 	total := svc.TotalStats()
-	fmt.Printf("workload done: %d ops, %d commits, %d trace events recorded (%d dropped)\n",
-		total.Ops, total.Commits, total.Obs.Recorded, total.Obs.Dropped)
+	fmt.Printf("workload done: %d ops, %d commits, %d trace events recorded (%d ring wraps)\n",
+		total.Ops, total.Commits, total.Obs.Recorded, total.Obs.Wraps)
 
 	// The boundary clock gives /varz a virtual "now": the furthest any
 	// worker has advanced.
@@ -322,35 +321,13 @@ func runSmoke(listen string, src obs.ServerSources, out string) int {
 	return 0
 }
 
-// get performs one minimal HTTP GET over a fresh loopback connection.
+// get performs one HTTP GET against the endpoint.
 func get(addr, path string) (int, []byte, error) {
-	conn, err := net.Dial("tcp", addr)
+	resp, err := http.Get("http://" + addr + path)
 	if err != nil {
 		return 0, nil, err
 	}
-	defer conn.Close()
-	if _, err := fmt.Fprintf(conn, "GET %s HTTP/1.0\r\nHost: msnap\r\n\r\n", path); err != nil {
-		return 0, nil, err
-	}
-	br := bufio.NewReader(conn)
-	status, err := br.ReadString('\n')
-	if err != nil {
-		return 0, nil, err
-	}
-	var proto string
-	var code int
-	if _, err := fmt.Sscanf(status, "%s %d", &proto, &code); err != nil {
-		return 0, nil, fmt.Errorf("bad status line %q", status)
-	}
-	for {
-		line, err := br.ReadString('\n')
-		if err != nil {
-			return 0, nil, err
-		}
-		if line == "\r\n" || line == "\n" {
-			break
-		}
-	}
-	body, err := io.ReadAll(br)
-	return code, body, err
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, body, err
 }

@@ -78,8 +78,8 @@ func main() {
 			}
 			for i := 0; i < opsPerCli; i++ {
 				key := fmt.Sprintf("k-%03d", (c*37+i)%64)
-				ch, err := svc.DoAsync(shard.Op{Kind: shard.OpAdd, Tenant: tenant, Key: key, Value: 1})
-				if err != nil {
+				ch := make(chan shard.Response, 1)
+				if err := svc.DoTagged(shard.Op{Kind: shard.OpAdd, Tenant: tenant, Key: key, Value: 1}, 0, ch); err != nil {
 					log.Fatal(err)
 				}
 				pending = append(pending, ch)
@@ -125,12 +125,13 @@ func main() {
 	// Phase 3: a burst of transfers nobody waits for, then a power cut
 	// inside their commit window. Transfers are sum-neutral, so the
 	// invariant must hold whichever group commits the cut tears.
+	unacked := make(chan shard.Response, 10*shards)
 	for round := 0; round < 10; round++ {
 		for sh := 0; sh < shards; sh++ {
-			_, err := svc.DoAsync(shard.Op{
+			err := svc.DoTagged(shard.Op{
 				Kind: shard.OpTransfer, Tenant: "bank",
 				Key: pairs[sh][0], Key2: pairs[sh][1], Value: 10,
-			})
+			}, 0, unacked)
 			if err != nil {
 				log.Fatal(err)
 			}

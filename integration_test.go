@@ -258,12 +258,13 @@ func TestIntegrationShardServicePowerCut(t *testing.T) {
 
 	// Unacknowledged tail: sum-neutral transfers whose group commits
 	// are still in flight when the power dies.
+	tail := make(chan shard.Response, 8*shards)
 	for round := 0; round < 8; round++ {
 		for sh := 0; sh < shards; sh++ {
-			if _, err := svc.DoAsync(shard.Op{
+			if err := svc.DoTagged(shard.Op{
 				Kind: shard.OpTransfer, Tenant: "bank",
 				Key: pairs[sh][0], Key2: pairs[sh][1], Value: 5,
-			}); err != nil {
+			}, 0, tail); err != nil {
 				t.Fatal(err)
 			}
 		}

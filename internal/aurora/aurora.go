@@ -77,9 +77,6 @@ func NewRegion(costs *sim.CostModel, arr *disk.Array, name string, diskBase, siz
 	}
 }
 
-// Name returns the region name.
-func (r *Region) Name() string { return r.name }
-
 // Size returns the region size in bytes.
 func (r *Region) Size() int64 { return int64(len(r.data)) }
 

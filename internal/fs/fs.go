@@ -118,9 +118,6 @@ func (f *FS) charge(clk *sim.Clock, bucket string, d time.Duration) {
 	}
 }
 
-// Kind returns the personality.
-func (f *FS) Kind() Kind { return f.kind }
-
 // File is one file: cached blocks plus their on-disk placement.
 type File struct {
 	fs   *FS

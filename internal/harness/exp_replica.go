@@ -91,8 +91,8 @@ func replicaRun(mode replica.Mode, window int, opts Options) ([]string, error) {
 				if i%4 == 3 {
 					op = shard.Op{Kind: shard.OpGet, Tenant: tenant, Key: key}
 				}
-				ch, err := svc.DoAsync(op)
-				if err != nil {
+				ch := make(chan shard.Response, 1)
+				if err := svc.DoTagged(op, 0, ch); err != nil {
 					errs <- err
 					return
 				}

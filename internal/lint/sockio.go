@@ -11,10 +11,11 @@ import "strconv"
 // (internal/netsvc) and the binaries that drive them — may cross that
 // line, and each import site must carry a documented //lint:allow
 // sockio suppression so new sockets are a reviewed decision, not an
-// accident.
+// accident. The observability boundary speaks HTTP through net/http;
+// the data plane frames its own protocol over net.
 var SockIO = &Analyzer{
 	Name: "sockio",
-	Doc:  "forbid \"net\" imports outside documented wall boundaries; real sockets only in obs/netsvc and their binaries",
+	Doc:  "forbid \"net\"/\"net/http\" imports outside documented wall boundaries; real sockets only in obs (net/http) and netsvc (net) and their binaries",
 	Run:  runSockIO,
 }
 
@@ -34,7 +35,7 @@ func runSockIO(pass *Pass) {
 			}
 			if path == "net" || path == "net/http" {
 				pass.Reportf(imp.Pos(),
-					"import of %q: real-socket I/O belongs only to documented wall boundaries (obs, netsvc, their binaries); annotate intentional boundaries with //lint:allow sockio (design rule: simulation stays off the network)",
+					"import of %q: real-socket I/O belongs only to documented wall boundaries (obs over net/http, netsvc over net, their binaries); annotate intentional boundaries with //lint:allow sockio (design rule: simulation stays off the network)",
 					path)
 			}
 		}

@@ -61,20 +61,6 @@ func (a *allocator) alloc(at time.Duration) (int64, error) {
 	return off, nil
 }
 
-// allocN allocates n blocks, preferring a contiguous bump run so
-// commit IO stays sequential on disk.
-func (a *allocator) allocN(at time.Duration, n int) ([]int64, error) {
-	offs := make([]int64, 0, n)
-	for i := 0; i < n; i++ {
-		off, err := a.alloc(at)
-		if err != nil {
-			return nil, err
-		}
-		offs = append(offs, off)
-	}
-	return offs, nil
-}
-
 // freeAt queues blocks for reuse once the commit that freed them is
 // durable at the given virtual time.
 func (a *allocator) freeAt(offsets []int64, release time.Duration) {

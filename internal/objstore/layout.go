@@ -210,13 +210,6 @@ func unmarshalCommitRecord(buf []byte) (*commitRecord, bool) {
 	return r, true
 }
 
-// marshalNode serializes a tree node: 512 child addresses.
-func marshalNode(children []int64) []byte {
-	buf := make([]byte, BlockSize)
-	marshalNodeInto(buf, children)
-	return buf
-}
-
 // marshalNodeInto serializes a tree node into a caller-owned
 // BlockSize buffer.
 func marshalNodeInto(buf []byte, children []int64) {

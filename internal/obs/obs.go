@@ -199,11 +199,8 @@ type Event struct {
 type RecorderStats struct {
 	// Recorded counts events written into the ring.
 	Recorded int64
-	// Dropped counts events offered but not recorded: sampled out, or
-	// refused because the ring was full in drop-on-full mode.
-	Dropped int64
-	// Wraps counts cursor cycles around a full ring (overwrite mode
-	// evicts the oldest events each cycle).
+	// Wraps counts cursor cycles around a full ring (each cycle
+	// overwrites the oldest events).
 	Wraps int64
 	// Capacity is the ring size in events.
 	Capacity int
@@ -223,46 +220,17 @@ type Recorder struct {
 	size int // valid events (≤ len(ring))
 
 	recorded int64
-	dropped  int64
 	wraps    int64
-	offered  int64
-
-	dropOnFull bool
-	sampleN    int64 // record 1 of every sampleN offered events; <=1: all
 }
 
 // NewRecorder returns a recorder with a pre-sized ring of capacity
-// events (minimum 16). The default policy overwrites the oldest events
-// when full (counted in Wraps) and records every offered event.
+// events (minimum 16). It records every offered event and, when full,
+// overwrites the oldest (counted in Wraps).
 func NewRecorder(capacity int) *Recorder {
 	if capacity < 16 {
 		capacity = 16
 	}
 	return &Recorder{ring: make([]Event, capacity)}
-}
-
-// SetDropOnFull switches the full-ring policy: true drops new events
-// (counted in Dropped) instead of overwriting the oldest.
-func (r *Recorder) SetDropOnFull(drop bool) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.dropOnFull = drop
-	r.mu.Unlock()
-}
-
-// SetSampling records only one of every n offered events (n <= 1
-// restores full recording). Sampled-out events count as Dropped.
-// Sampling bounds tracing overhead on pathological fault storms while
-// keeping the ring statistically representative.
-func (r *Recorder) SetSampling(n int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.sampleN = n
-	r.mu.Unlock()
 }
 
 // Span records a complete span.
@@ -309,17 +277,6 @@ func (r *Recorder) Enabled() bool { return r != nil }
 
 func (r *Recorder) record(ev Event) {
 	r.mu.Lock()
-	r.offered++
-	if r.sampleN > 1 && r.offered%r.sampleN != 0 {
-		r.dropped++
-		r.mu.Unlock()
-		return
-	}
-	if r.dropOnFull && r.size == len(r.ring) {
-		r.dropped++
-		r.mu.Unlock()
-		return
-	}
 	r.ring[r.next] = ev
 	r.next++
 	if r.next == len(r.ring) {
@@ -396,7 +353,6 @@ func (r *Recorder) Stats() RecorderStats {
 	defer r.mu.Unlock()
 	return RecorderStats{
 		Recorded: r.recorded,
-		Dropped:  r.dropped,
 		Wraps:    r.wraps,
 		Capacity: len(r.ring),
 	}

@@ -28,7 +28,7 @@ func TestRecorderDrainOrder(t *testing.T) {
 		t.Errorf("Len after drain = %d, want 0", got)
 	}
 	st := r.Stats()
-	if st.Recorded != 5 || st.Dropped != 0 || st.Wraps != 0 {
+	if st.Recorded != 5 || st.Wraps != 0 {
 		t.Errorf("stats after drain = %+v, want counters to survive", st)
 	}
 }
@@ -56,48 +56,11 @@ func TestRecorderWrapOverwritesOldest(t *testing.T) {
 	}
 }
 
-func TestRecorderDropOnFull(t *testing.T) {
-	r := NewRecorder(16)
-	r.SetDropOnFull(true)
-	for i := 0; i < 20; i++ {
-		r.Instant(CatVM, NamePageIn, 0, time.Duration(i), int64(i))
-	}
-	st := r.Stats()
-	// The cursor cycles once as the ring fills; after that, drop-on-full
-	// refuses new events instead of evicting.
-	if st.Recorded != 16 || st.Dropped != 4 || st.Wraps != 1 {
-		t.Errorf("stats = %+v, want 16 recorded / 4 dropped / 1 wrap", st)
-	}
-	evs := r.Drain()
-	if len(evs) != 16 || evs[0].Arg != 0 || evs[15].Arg != 15 {
-		t.Errorf("drop-on-full must retain the oldest events; got %d events", len(evs))
-	}
-}
-
-func TestRecorderSampling(t *testing.T) {
-	r := NewRecorder(128)
-	r.SetSampling(4)
-	for i := 0; i < 40; i++ {
-		r.Instant(CatVM, NamePageIn, 0, time.Duration(i), int64(i))
-	}
-	st := r.Stats()
-	if st.Recorded != 10 || st.Dropped != 30 {
-		t.Errorf("stats = %+v, want 10 recorded / 30 sampled out", st)
-	}
-	r.SetSampling(0)
-	r.Instant(CatVM, NamePageIn, 0, 0, 0)
-	if got := r.Stats().Recorded; got != 11 {
-		t.Errorf("Recorded after disabling sampling = %d, want 11", got)
-	}
-}
-
 func TestRecorderNilSafe(t *testing.T) {
 	var r *Recorder
 	r.Span(CatPersist, NamePersist, 0, 0, time.Microsecond, 1)
 	r.Instant(CatVM, NameCOWFault, 0, 0, 1)
 	r.Counter(CatShard, NameGroupCommit, 0, 0, 1)
-	r.SetDropOnFull(true)
-	r.SetSampling(2)
 	if r.Enabled() {
 		t.Error("nil recorder must report Enabled() == false")
 	}

@@ -3,11 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
-	"net" //lint:allow sockio obs.Serve is the documented loopback observability boundary
-	"strings"
-	"sync"
+	"net"      //lint:allow sockio obs.Serve is the documented loopback observability boundary
+	"net/http" //lint:allow sockio net/http is the obs boundary's HTTP stack
 	"time"
 
 	"memsnap/internal/sim"
@@ -38,9 +36,20 @@ type ServerSources struct {
 	Clock *sim.Clock
 }
 
+// Connection deadlines: a scraper that stalls mid-request, stops
+// reading a response or idles on a kept-alive connection is dropped
+// rather than holding a goroutine and a descriptor until Close.
+// readHeaderTimeout is a variable only so tests can shorten it.
+var readHeaderTimeout = 5 * time.Second
+
+const (
+	writeTimeout = 30 * time.Second
+	idleTimeout  = 60 * time.Second
+)
+
 // Server is the loopback observability front end: a real TCP listener
-// speaking just enough HTTP/1.0 for curl, Prometheus scrapers and the
-// CI smoke test, without importing net/http. It serves:
+// served by net/http (HTTP/1.1 with keep-alive; non-GET methods get
+// 405). It serves:
 //
 //	GET /metricz  Prometheus text exposition (ServerSources.Metrics)
 //	GET /varz     expvar-style JSON state (ServerSources.Vars)
@@ -53,18 +62,10 @@ type ServerSources struct {
 // them, so responses carry virtual times as plain numbers and the
 // server itself never advances any clock.
 type Server struct {
-	ln  net.Listener
-	src ServerSources
-	// hasClock caches src.Clock != nil so the per-connection goroutine
-	// touches the clock only as the receiver of its atomic Now — the
-	// one cross-goroutine clock access the clockcapture design rule
-	// permits.
-	hasClock bool
-
-	mu     sync.Mutex
-	conns  map[net.Conn]bool
-	closed bool
-	wg     sync.WaitGroup
+	ln   net.Listener
+	srv  *http.Server
+	src  ServerSources
+	done chan struct{} // closed when the accept loop has returned
 }
 
 // Serve starts the server on addr (e.g. "127.0.0.1:0") and begins
@@ -74,33 +75,25 @@ func Serve(addr string, src ServerSources) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{ln: ln, src: src, hasClock: src.Clock != nil, conns: map[net.Conn]bool{}}
-	s.wg.Add(1)
+	s := &Server{ln: ln, src: src, done: make(chan struct{})}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /metricz", s.metricz)
+	mux.HandleFunc("GET /varz", s.varz)
+	mux.HandleFunc("GET /tracez", s.tracez)
+	mux.HandleFunc("GET /healthz", s.healthz)
+	mux.HandleFunc("GET /topz", s.topz)
+	mux.HandleFunc("GET /", func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "not found (try /metricz, /varz, /tracez, /healthz, /topz)", http.StatusNotFound)
+	})
+	s.srv = &http.Server{
+		Handler:           mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	go func() {
-		defer s.wg.Done()
-		for {
-			conn, err := s.ln.Accept()
-			if err != nil {
-				return
-			}
-			if !s.track(conn) {
-				conn.Close()
-				return
-			}
-			s.wg.Add(1)
-			go func(c net.Conn) {
-				defer s.wg.Done()
-				defer s.untrack(c)
-				// Stamp the boundary's virtual now once per request,
-				// through the clock's atomic Now (the documented
-				// cross-goroutine clock access).
-				var vnow time.Duration
-				if s.hasClock {
-					vnow = s.src.Clock.Now()
-				}
-				s.handle(c, vnow)
-			}(conn)
-		}
+		defer close(s.done)
+		s.srv.Serve(ln) // returns http.ErrServerClosed once Close runs
 	}()
 	return s, nil
 }
@@ -108,151 +101,94 @@ func Serve(addr string, src ServerSources) (*Server, error) {
 // Addr returns the listener's address (host:port).
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-func (s *Server) track(c net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	s.conns[c] = true
-	return true
-}
-
-func (s *Server) untrack(c net.Conn) {
-	c.Close()
-	s.mu.Lock()
-	delete(s.conns, c)
-	s.mu.Unlock()
-}
-
 // Close stops accepting, closes open connections and waits for the
-// handler goroutines. Idempotent.
+// accept loop to exit. Idempotent.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
+	err := s.srv.Close()
+	<-s.done
 	return err
 }
 
-// handle serves one connection: one request, one response, close.
-func (s *Server) handle(c net.Conn, vnow time.Duration) {
-	path, ok := readRequestPath(c)
-	if !ok {
-		writeResponse(c, 400, "text/plain; charset=utf-8", []byte("bad request\n"))
+// vnow is the boundary's virtual now, read once per request through
+// the clock's atomic Now (the documented cross-goroutine clock access).
+func (s *Server) vnow() time.Duration {
+	if s.src.Clock == nil {
+		return 0
+	}
+	return s.src.Clock.Now()
+}
+
+func reply(w http.ResponseWriter, contentType string, code int, body []byte) {
+	w.Header().Set("Content-Type", contentType)
+	w.WriteHeader(code)
+	w.Write(body)
+}
+
+func replyJSON(w http.ResponseWriter, v any) {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	reply(w, "application/json", http.StatusOK, append(data, '\n'))
+}
+
+func (s *Server) metricz(w http.ResponseWriter, r *http.Request) {
+	if s.src.Metrics == nil {
+		http.Error(w, "no metrics source", http.StatusNotFound)
 		return
 	}
 	var body bytes.Buffer
-	switch path {
-	case "/metricz":
-		if s.src.Metrics == nil {
-			writeResponse(c, 404, "text/plain; charset=utf-8", []byte("no metrics source\n"))
-			return
-		}
-		if err := s.src.Metrics(&body); err != nil {
-			writeError(c, err)
-			return
-		}
-		writeResponse(c, 200, "text/plain; version=0.0.4; charset=utf-8", body.Bytes())
-	case "/varz":
-		var vars any
-		if s.src.Vars != nil {
-			vars = s.src.Vars()
-		}
-		wrapped := struct {
-			VirtualSeconds float64 `json:"virtual_now_seconds"`
-			Vars           any     `json:"vars"`
-		}{vnow.Seconds(), vars}
-		data, err := json.MarshalIndent(wrapped, "", "  ")
-		if err != nil {
-			writeError(c, err)
-			return
-		}
-		writeResponse(c, 200, "application/json", append(data, '\n'))
-	case "/tracez":
-		var events []Event
-		if s.src.Trace != nil {
-			events = s.src.Trace()
-		}
-		if err := WriteTrace(&body, events); err != nil {
-			writeError(c, err)
-			return
-		}
-		writeResponse(c, 200, "application/json", body.Bytes())
-	case "/healthz":
-		ready, detail := true, "ok"
-		if s.src.Health != nil {
-			ready, detail = s.src.Health()
-		}
-		code := 200
-		if !ready {
-			code = 503
-		}
-		writeResponse(c, code, "text/plain; charset=utf-8", []byte(detail+"\n"))
-	case "/topz":
-		var top []TenantStat
-		if s.src.TopK != nil {
-			top = s.src.TopK()
-		}
-		wrapped := struct {
-			VirtualSeconds float64      `json:"virtual_now_seconds"`
-			Tenants        []TenantStat `json:"tenants"`
-		}{vnow.Seconds(), top}
-		data, err := json.MarshalIndent(wrapped, "", "  ")
-		if err != nil {
-			writeError(c, err)
-			return
-		}
-		writeResponse(c, 200, "application/json", append(data, '\n'))
-	default:
-		writeResponse(c, 404, "text/plain; charset=utf-8", []byte("not found (try /metricz, /varz, /tracez, /healthz, /topz)\n"))
+	if err := s.src.Metrics(&body); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
+	reply(w, "text/plain; version=0.0.4; charset=utf-8", http.StatusOK, body.Bytes())
 }
 
-// readRequestPath reads the request line of a GET request and returns
-// its path. The read is bounded; headers are consumed best-effort (the
-// response closes the connection either way).
-func readRequestPath(c net.Conn) (string, bool) {
-	buf := make([]byte, 0, 1024)
-	tmp := make([]byte, 256)
-	for !bytes.Contains(buf, []byte("\n")) && len(buf) < 4096 {
-		n, err := c.Read(tmp)
-		buf = append(buf, tmp[:n]...)
-		if err != nil {
-			break
-		}
+func (s *Server) varz(w http.ResponseWriter, r *http.Request) {
+	var vars any
+	if s.src.Vars != nil {
+		vars = s.src.Vars()
 	}
-	line, _, ok := bytes.Cut(buf, []byte("\n"))
-	if !ok {
-		return "", false
-	}
-	fields := strings.Fields(string(line))
-	if len(fields) < 2 || fields[0] != "GET" {
-		return "", false
-	}
-	path := fields[1]
-	if i := strings.IndexByte(path, '?'); i >= 0 {
-		path = path[:i]
-	}
-	return path, true
+	replyJSON(w, struct {
+		VirtualSeconds float64 `json:"virtual_now_seconds"`
+		Vars           any     `json:"vars"`
+	}{s.vnow().Seconds(), vars})
 }
 
-var statusText = map[int]string{200: "OK", 400: "Bad Request", 404: "Not Found", 500: "Internal Server Error", 503: "Service Unavailable"}
-
-func writeResponse(c net.Conn, code int, contentType string, body []byte) {
-	fmt.Fprintf(c, "HTTP/1.0 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n",
-		code, statusText[code], contentType, len(body))
-	c.Write(body)
+func (s *Server) tracez(w http.ResponseWriter, r *http.Request) {
+	var events []Event
+	if s.src.Trace != nil {
+		events = s.src.Trace()
+	}
+	var body bytes.Buffer
+	if err := WriteTrace(&body, events); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	reply(w, "application/json", http.StatusOK, body.Bytes())
 }
 
-func writeError(c net.Conn, err error) {
-	writeResponse(c, 500, "text/plain; charset=utf-8", []byte(err.Error()+"\n"))
+func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
+	ready, detail := true, "ok"
+	if s.src.Health != nil {
+		ready, detail = s.src.Health()
+	}
+	code := http.StatusOK
+	if !ready {
+		code = http.StatusServiceUnavailable
+	}
+	reply(w, "text/plain; charset=utf-8", code, []byte(detail+"\n"))
+}
+
+func (s *Server) topz(w http.ResponseWriter, r *http.Request) {
+	var top []TenantStat
+	if s.src.TopK != nil {
+		top = s.src.TopK()
+	}
+	replyJSON(w, struct {
+		VirtualSeconds float64      `json:"virtual_now_seconds"`
+		Tenants        []TenantStat `json:"tenants"`
+	}{s.vnow().Seconds(), top})
 }

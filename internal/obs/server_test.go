@@ -1,12 +1,11 @@
 package obs
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -14,40 +13,20 @@ import (
 	"memsnap/internal/sim"
 )
 
-// get performs one GET over a fresh loopback connection and returns
-// the status code and body.
+// get performs one GET against the server and returns the status
+// code and body.
 func get(t *testing.T, addr, path string) (int, []byte) {
 	t.Helper()
-	conn, err := net.Dial("tcp", addr)
+	resp, err := http.Get("http://" + addr + path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	fmt.Fprintf(conn, "GET %s HTTP/1.0\r\nHost: test\r\n\r\n", path)
-	br := bufio.NewReader(conn)
-	status, err := br.ReadString('\n')
-	if err != nil {
-		t.Fatalf("reading status line: %v", err)
-	}
-	var proto string
-	var code int
-	if _, err := fmt.Sscanf(status, "%s %d", &proto, &code); err != nil {
-		t.Fatalf("bad status line %q: %v", status, err)
-	}
-	for {
-		line, err := br.ReadString('\n')
-		if err != nil {
-			t.Fatalf("reading headers: %v", err)
-		}
-		if line == "\r\n" || line == "\n" {
-			break
-		}
-	}
-	body, err := io.ReadAll(br)
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatalf("reading body: %v", err)
 	}
-	return code, body
+	return resp.StatusCode, body
 }
 
 func TestServerEndpoints(t *testing.T) {
@@ -144,20 +123,59 @@ func TestServerNoSources(t *testing.T) {
 }
 
 func TestServerBadRequest(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0", ServerSources{
+		Metrics: func(w io.Writer) error {
+			_, err := io.WriteString(w, "memsnap_up 1\n")
+			return err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	resp, err := http.Post("http://"+srv.Addr()+"/metricz", "text/plain", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusMethodNotAllowed || bytes.Contains(body, []byte("memsnap_up")) {
+		t.Errorf("POST /metricz = %d %q, want 405 without metrics", resp.StatusCode, body)
+	}
+}
+
+// TestServerDropsStalledClient pins the read-header deadline: a
+// scraper that connects and then stalls — sending nothing, or half a
+// request line — is disconnected instead of holding a goroutine and a
+// descriptor until Close.
+func TestServerDropsStalledClient(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 100 * time.Millisecond
 	srv, err := Serve("127.0.0.1:0", ServerSources{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
+	var conns []net.Conn
+	for _, sent := range []string{"", "GET /metr"} {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := io.WriteString(conn, sent); err != nil {
+			t.Fatal(err)
+		}
+		conns = append(conns, conn)
 	}
-	defer conn.Close()
-	fmt.Fprintf(conn, "POST /metricz HTTP/1.0\r\n\r\n")
-	resp, _ := io.ReadAll(conn)
-	if !bytes.Contains(resp, []byte("400")) {
-		t.Errorf("POST response = %q, want 400", resp)
+	deadline := time.Now().Add(readHeaderTimeout + 2*time.Second)
+	for i, conn := range conns {
+		conn.SetReadDeadline(deadline)
+		if _, err := io.ReadAll(conn); err != nil {
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				t.Errorf("stalled connection %d still open past the read-header deadline", i)
+			}
+		}
 	}
 }
 

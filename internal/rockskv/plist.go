@@ -340,6 +340,3 @@ func (p *plist) scan(ctx *core.Context, start []byte, n int, structLock *sim.VLo
 	}
 	return out
 }
-
-// Count returns the number of nodes (including tombstones).
-func (p *plist) Count() int { return p.count }

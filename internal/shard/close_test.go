@@ -32,8 +32,8 @@ func TestCloseIdempotent(t *testing.T) {
 	if err := svc.Put("t", "b", 1); err != ErrClosed {
 		t.Fatalf("Put after Close = %v; want ErrClosed", err)
 	}
-	if _, err := svc.TryDoAsync(Op{Kind: OpPut, Tenant: "t", Key: "c", Value: 1}); err != ErrClosed {
-		t.Fatalf("TryDoAsync after Close = %v; want ErrClosed", err)
+	if err := svc.TryDoTagged(Op{Kind: OpPut, Tenant: "t", Key: "c", Value: 1}, 0, make(chan Response, 1)); err != ErrClosed {
+		t.Fatalf("TryDoTagged after Close = %v; want ErrClosed", err)
 	}
 }
 
@@ -55,8 +55,9 @@ func TestCloseAfterCrash(t *testing.T) {
 		}
 	}
 	// Leave unacknowledged work in flight, then crash the array.
+	inflight := make(chan Response, 8)
 	for i := 0; i < 8; i++ {
-		if _, err := svc.DoAsync(Op{Kind: OpAdd, Tenant: "t", Key: fmt.Sprintf("k%02d", i), Value: 1}); err != nil {
+		if err := svc.DoTagged(Op{Kind: OpAdd, Tenant: "t", Key: fmt.Sprintf("k%02d", i), Value: 1}, 0, inflight); err != nil {
 			t.Fatal(err)
 		}
 	}

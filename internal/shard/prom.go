@@ -109,7 +109,6 @@ func FormatPrometheus(w io.Writer, stats []ShardStats) error {
 			value      int64
 		}{
 			{"memsnap_obs_events_recorded_total", "Trace events written into the ring recorder.", o.Recorded},
-			{"memsnap_obs_events_dropped_total", "Trace events offered but dropped (sampling or full ring).", o.Dropped},
 			{"memsnap_obs_ring_wraps_total", "Ring recorder cursor wraps (oldest events overwritten).", o.Wraps},
 		}
 		for _, m := range obsMetrics {

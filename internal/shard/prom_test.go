@@ -48,7 +48,7 @@ func TestFormatPrometheusGolden(t *testing.T) {
 			},
 			CommitHist:  histSnap(time.Millisecond, time.Millisecond, 2*time.Millisecond),
 			PersistHist: histSnap(500*time.Microsecond, 900*time.Microsecond, time.Millisecond),
-			Obs:         obs.RecorderStats{Recorded: 42, Dropped: 1, Wraps: 2, Capacity: 1024},
+			Obs:         obs.RecorderStats{Recorded: 42, Wraps: 2, Capacity: 1024},
 		},
 		{
 			Shard: 1, Ops: 7, Reads: 7,
@@ -130,9 +130,9 @@ func TestServiceFormatPrometheus(t *testing.T) {
 	if want := hists * shards; buckets < want {
 		t.Errorf("got %d bucket lines, want at least %d", buckets, want)
 	}
-	// The three unlabeled obs recorder counters.
-	if plain != 3 {
-		t.Errorf("got %d unlabeled lines, want 3 (obs counters)", plain)
+	// The two unlabeled obs recorder counters.
+	if plain != 2 {
+		t.Errorf("got %d unlabeled lines, want 2 (obs counters)", plain)
 	}
 	for _, name := range []string{
 		"memsnap_obs_events_recorded_total",

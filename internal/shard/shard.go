@@ -30,8 +30,8 @@ import (
 
 // Service errors.
 var (
-	// ErrBackpressure is returned by TryDo when the target shard's
-	// queue is full (admission control).
+	// ErrBackpressure is returned by TryDoTagged when the target
+	// shard's queue is full (admission control).
 	ErrBackpressure = errors.New("shard: queue full")
 	// ErrClosed is returned for operations submitted after Close.
 	ErrClosed = errors.New("shard: service closed")
@@ -104,7 +104,7 @@ type Op struct {
 // Response is the outcome of one Op.
 type Response struct {
 	// Tag echoes the caller-chosen correlation tag of a tagged
-	// submission (DoTagged/TryDoTagged); zero for the plain APIs.
+	// submission (DoTagged/TryDoTagged); zero for Do.
 	// Pipelined callers multiplexing many ops onto one response
 	// channel use it to match completions, which arrive out of order
 	// across shards.
@@ -129,7 +129,7 @@ type Config struct {
 	// Shards is the number of independent shards (default 8).
 	Shards int
 	// QueueDepth bounds each shard's request queue (default 256);
-	// TryDo fails with ErrBackpressure when the queue is full.
+	// TryDoTagged fails with ErrBackpressure when the queue is full.
 	QueueDepth int
 	// BatchSize caps the number of requests coalesced into one group
 	// commit (default 16).
@@ -238,9 +238,7 @@ type Service struct {
 // Requests are pooled: every response path returns the struct through
 // putRequest immediately after the single send on resp, so the
 // steady-state serving path allocates no request structs. The
-// response channel is NOT pooled — for the plain APIs its ownership
-// passes to the caller; for tagged submissions it belongs to the
-// caller outright.
+// response channel is NOT pooled — it belongs to the caller.
 type request struct {
 	op   Op
 	resp chan Response
@@ -383,9 +381,6 @@ func (s *Service) Recovery() []ShardRecovery {
 	return append([]ShardRecovery(nil), s.recovery...)
 }
 
-// NumShards returns the shard count.
-func (s *Service) NumShards() int { return len(s.shards) }
-
 // fnv1a hashes the composed tenant+key.
 func fnv1a(tenant, key string) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
@@ -491,35 +486,6 @@ func (s *Service) submit(sh *shard, r *request, block bool) error {
 	}
 }
 
-// DoAsync submits op and returns a channel that will receive its
-// response: immediately after apply for reads, after the group commit
-// is durable for writes. It blocks while the shard queue is full.
-func (s *Service) DoAsync(op Op) (<-chan Response, error) {
-	sh, err := s.route(op)
-	if err != nil {
-		return nil, err
-	}
-	ch := make(chan Response, 1)
-	if err := s.submit(sh, getRequest(op, 0, ch), true); err != nil {
-		return nil, err
-	}
-	return ch, nil
-}
-
-// TryDoAsync is DoAsync with admission control: when the shard queue
-// is full it rejects the op with ErrBackpressure instead of blocking.
-func (s *Service) TryDoAsync(op Op) (<-chan Response, error) {
-	sh, err := s.route(op)
-	if err != nil {
-		return nil, err
-	}
-	ch := make(chan Response, 1)
-	if err := s.submit(sh, getRequest(op, 0, ch), false); err != nil {
-		return nil, err
-	}
-	return ch, nil
-}
-
 // DoTagged submits op for pipelined completion: the response —
 // carrying tag in Response.Tag — is delivered on the caller-owned
 // resp channel, immediately after apply for reads and after durable
@@ -553,20 +519,11 @@ func (s *Service) TryDoTagged(op Op, tag uint64, resp chan Response) error {
 
 // Do submits op and waits for its response.
 func (s *Service) Do(op Op) Response {
-	ch, err := s.DoAsync(op)
-	if err != nil {
+	ch := make(chan Response, 1)
+	if err := s.DoTagged(op, 0, ch); err != nil {
 		return Response{Err: err}
 	}
 	return <-ch
-}
-
-// TryDo is Do with admission control (ErrBackpressure when full).
-func (s *Service) TryDo(op Op) (Response, error) {
-	ch, err := s.TryDoAsync(op)
-	if err != nil {
-		return Response{}, err
-	}
-	return <-ch, nil
 }
 
 // Put durably sets tenant/key to value.

@@ -130,16 +130,14 @@ func TestGroupCommitCoalescing(t *testing.T) {
 		t.Fatal(err)
 	}
 	const writes = 200
-	chans := make([]<-chan Response, 0, writes)
+	resp := make(chan Response, writes)
 	for i := 0; i < writes; i++ {
-		ch, err := svc.DoAsync(Op{Kind: OpPut, Tenant: "t", Key: fmt.Sprintf("k%04d", i), Value: 1})
-		if err != nil {
+		if err := svc.DoTagged(Op{Kind: OpPut, Tenant: "t", Key: fmt.Sprintf("k%04d", i), Value: 1}, uint64(i), resp); err != nil {
 			t.Fatal(err)
 		}
-		chans = append(chans, ch)
 	}
-	for _, ch := range chans {
-		if r := <-ch; r.Err != nil {
+	for i := 0; i < writes; i++ {
+		if r := <-resp; r.Err != nil {
 			t.Fatal(r.Err)
 		}
 	}
@@ -173,20 +171,18 @@ func TestBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pending []<-chan Response
+	resp := make(chan Response, 5)
 	for i := 0; i < 4; i++ {
-		ch, err := svc.TryDoAsync(Op{Kind: OpPut, Tenant: "t", Key: fmt.Sprintf("k%d", i), Value: 1})
-		if err != nil {
+		if err := svc.TryDoTagged(Op{Kind: OpPut, Tenant: "t", Key: fmt.Sprintf("k%d", i), Value: 1}, uint64(i), resp); err != nil {
 			t.Fatalf("op %d rejected with queue not full: %v", i, err)
 		}
-		pending = append(pending, ch)
 	}
-	if _, err := svc.TryDoAsync(Op{Kind: OpPut, Tenant: "t", Key: "overflow", Value: 1}); err != ErrBackpressure {
+	if err := svc.TryDoTagged(Op{Kind: OpPut, Tenant: "t", Key: "overflow", Value: 1}, 4, resp); err != ErrBackpressure {
 		t.Fatalf("full-queue error = %v; want ErrBackpressure", err)
 	}
 	svc.start()
-	for _, ch := range pending {
-		if r := <-ch; r.Err != nil {
+	for i := 0; i < 4; i++ {
+		if r := <-resp; r.Err != nil {
 			t.Fatal(r.Err)
 		}
 	}
@@ -353,12 +349,13 @@ func TestCrashRecoveryMidCommit(t *testing.T) {
 	// Unacknowledged tail: sum-neutral transfers inside every shard.
 	// Their group commits submit after tSafe on each worker's clock;
 	// the power cut lands inside this IO window.
+	tail := make(chan Response, 10*shards)
 	for round := 0; round < 10; round++ {
 		for sh := 0; sh < shards; sh++ {
-			if _, err := svc.DoAsync(Op{
+			if err := svc.DoTagged(Op{
 				Kind: OpTransfer, Tenant: "bank",
 				Key: pairs[sh][0], Key2: pairs[sh][1], Value: 10,
-			}); err != nil {
+			}, 0, tail); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -23,7 +23,8 @@ type ShardStats struct {
 	// durability (the writer-visible group-commit ack latency).
 	CommitLatency sim.Summary
 	// QueueHighWater is the deepest queue observed at submit time;
-	// Rejected counts TryDo admissions refused with ErrBackpressure.
+	// Rejected counts TryDoTagged admissions refused with
+	// ErrBackpressure.
 	QueueHighWater int
 	Rejected       int64
 	// Elapsed is the worker's virtual time since the service opened;

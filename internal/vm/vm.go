@@ -121,9 +121,6 @@ func NewAddressSpace(costs *sim.CostModel, phys *mem.PhysMem, tlbs *tlb.System) 
 	}
 }
 
-// Phys returns the physical memory backing this address space.
-func (as *AddressSpace) Phys() *mem.PhysMem { return as.phys }
-
 // TLBs returns the TLB system.
 func (as *AddressSpace) TLBs() *tlb.System { return as.tlbs }
 
