@@ -193,3 +193,54 @@ func TestPersistGlobalConcurrentStress(t *testing.T) {
 		t.Fatalf("global context left %d outstanding checkpoints", n)
 	}
 }
+
+// TestCOWDisplacedFramesFreed is the regression test for the physical
+// frame leak: a write to a page whose uCheckpoint is still in flight
+// copies the page, and the displaced frame loses its last mapping.
+// Once the checkpoint is durable nothing references that frame, so it
+// must go back to the allocator. Without the free, every persist cycle
+// below grows physical memory by `pages` frames.
+func TestCOWDisplacedFramesFreed(t *testing.T) {
+	const pages, cycles = 8, 200
+	sys := newSys(t)
+	p := sys.NewProcess()
+	ctx := p.NewContext(0)
+	r, err := p.Open(ctx, "data", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(round int) {
+		for i := int64(0); i < pages; i++ {
+			ctx.WriteAt(r, i*PageSize, []byte{byte(round), byte(i)})
+		}
+	}
+	write(0)
+	for round := 1; round <= cycles; round++ {
+		epoch, err := ctx.Persist(r, MSAsync)
+		if err != nil {
+			t.Fatal(err)
+		}
+		write(round) // every page's checkpoint is in flight: all COW
+		if round%2 == 0 {
+			ctx.Wait(r, epoch) // release through Wait ...
+		} // ... or through the next Persist's sweep
+	}
+	ctx.Wait(nil, 0)
+	if got, want := p.as.Stats().COWFaults, int64(pages*cycles); got != want {
+		t.Fatalf("COW faults = %d, want %d (test no longer exercises the in-flight path)", got, want)
+	}
+	st := sys.phys.Stats()
+	if live := st.TotalFrames - st.FreeFrames; live > pages {
+		t.Fatalf("%d live frames after %d cycles over %d pages, want <= %d", live, cycles, pages, pages)
+	}
+	if st.TotalFrames > 3*pages {
+		t.Fatalf("physical memory grew to %d frames over %d pages (displaced COW frames never freed)", st.TotalFrames, pages)
+	}
+	buf := make([]byte, 2)
+	for i := int64(0); i < pages; i++ {
+		ctx.ReadAt(r, i*PageSize, buf)
+		if buf[0] != byte(cycles) || buf[1] != byte(i) {
+			t.Fatalf("page %d reads %v, want [%d %d]", i, buf, byte(cycles), i)
+		}
+	}
+}
