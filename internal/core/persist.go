@@ -119,13 +119,14 @@ func (ctx *Context) acquireHold() []*mem.Page {
 	return nil
 }
 
-// releaseHold clears the checkpoint-in-progress flags and recycles the
-// buffer. Safe on nil.
+// releaseHold clears the checkpoint-in-progress flags, frees the
+// frames in-flight COWs displaced, and recycles the buffer. Safe on
+// nil.
 func (ctx *Context) releaseHold(pages []*mem.Page) {
 	if pages == nil {
 		return
 	}
-	vm.ClearCheckpointPages(pages)
+	ctx.proc.as.ClearCheckpointPages(pages)
 	clear(pages)
 	ctx.holdFree = append(ctx.holdFree, pages[:0])
 }

@@ -63,6 +63,9 @@ type Page struct {
 	mu   sync.Mutex
 	rmap []ReverseMapping
 	refs int32
+	// claimed is set once ClaimOrphan hands the page to a freeing
+	// party (guarded by mu).
+	claimed bool
 }
 
 // Frame returns the frame this metadata describes.
@@ -128,6 +131,20 @@ func (p *Page) RefCount() int {
 	return int(p.refs)
 }
 
+// ClaimOrphan reports whether the caller may free the page: no
+// mapping is left and no checkpoint holds it. It returns true at most
+// once per page, so when a checkpoint release and an in-flight COW
+// both see the page orphaned, exactly one of them frees it.
+func (p *Page) ClaimOrphan() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.refs != 0 || p.claimed || p.HasFlag(FlagCheckpointInProgress) {
+		return false
+	}
+	p.claimed = true
+	return true
+}
+
 // PhysMem is the simulated physical memory of one machine: a frame
 // allocator plus per-frame data and metadata. It is safe for
 // concurrent use.
@@ -187,6 +204,7 @@ func (m *PhysMem) Free(pg *Page) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if pg.frame == NoFrame || int(pg.frame) >= len(m.frames) {
+		//lint:allow hotalloc fatal-path formatting on an invalid free
 		panic(fmt.Sprintf("mem: freeing invalid frame %d", pg.frame))
 	}
 	m.pages[pg.frame] = nil

@@ -131,7 +131,7 @@ func (as *AddressSpace) ResetProtectionsScan(clk *sim.Clock, m *Mapping) []uint6
 // call it when the IO completes.
 func (as *AddressSpace) MarkCheckpointInProgress(records []DirtyRecord) (release func()) {
 	pages := as.MarkCheckpointPages(records, nil)
-	return func() { ClearCheckpointPages(pages) }
+	return func() { as.ClearCheckpointPages(pages) }
 }
 
 // MarkCheckpointPages is the allocation-free form of
@@ -147,10 +147,19 @@ func (as *AddressSpace) MarkCheckpointPages(records []DirtyRecord, buf []*mem.Pa
 }
 
 // ClearCheckpointPages clears the in-progress flag set by
-// MarkCheckpointPages.
-func ClearCheckpointPages(pages []*mem.Page) {
+// MarkCheckpointPages once the checkpoint is durable, and frees every
+// page an in-flight COW displaced meanwhile: such a page has no
+// mapping left, and with the flush done nothing reads it any more.
+// Holding as.mu orders the free after any COW of the page in this
+// address space, which drops the stale TLB entries before unlocking.
+func (as *AddressSpace) ClearCheckpointPages(pages []*mem.Page) {
+	as.mu.Lock()
+	defer as.mu.Unlock()
 	for _, pg := range pages {
 		pg.ClearFlag(mem.FlagCheckpointInProgress)
+		if pg.ClaimOrphan() {
+			as.phys.Free(pg)
+		}
 	}
 }
 

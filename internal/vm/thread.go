@@ -175,11 +175,21 @@ func (t *Thread) writeFaultLocked(m *Mapping, vpn uint64, pte *pagetable.PTE) {
 		pg.RemoveMapping(as, vpn)
 		dup.AddMapping(mem.ReverseMapping{Owner: as, VPN: vpn})
 		pte.Frame = dup.Frame()
-		pg = dup
+		// The displaced frame is freed once its checkpoint is durable,
+		// and the TLB hit path trusts cached frames unchecked: drop the
+		// translation on every CPU now (an uncharged local
+		// invalidation, not a modeled IPI).
+		as.tlbs.ShootdownPage(nil, vpn)
 		// Shared mappings must observe the replacement too.
 		if m.SharedPages != nil {
 			m.SharedPages[(vpn*PageSize-m.Start)/PageSize] = dup
 		}
+		// A checkpoint released from another address space may have
+		// found the page still mapped here; then the free is ours.
+		if pg.ClaimOrphan() {
+			as.phys.Free(pg)
+		}
+		pg = dup
 	} else {
 		// Tracking fault: no copy.
 		t.chargeFault(as.costs.MinorFault)

@@ -192,6 +192,45 @@ func TestInFlightCOW(t *testing.T) {
 	}
 }
 
+// TestCOWShootsDownOtherCPUs pins the TLB half of freeing displaced
+// frames: a reader on another CPU that cached the pre-COW translation
+// must miss after the COW and see the writer's copy, and releasing the
+// checkpoint returns the displaced frame to the allocator.
+func TestCOWShootsDownOtherCPUs(t *testing.T) {
+	as := newAS()
+	mapRegion(t, as, "r", 0x100000, 8, true)
+	writer := as.NewThread(nil, 0)
+	reader := as.NewThread(nil, 1)
+	writer.Write(0x100000, []byte("original"))
+	recs := writer.TakeDirty(nil)
+
+	release := as.MarkCheckpointInProgress(recs)
+	as.TLBs().Invalidate(writer.Clock(), as.ResetProtectionsTrace(writer.Clock(), recs))
+	buf := make([]byte, 8)
+	reader.Read(0x100000, buf) // caches vpn -> original frame on CPU 1
+	writer.Write(0x100000, []byte("MUTATED!"))
+	reader.Read(0x100000, buf)
+	if string(buf) != "MUTATED!" {
+		t.Fatalf("reader on another CPU reads %q through a stale TLB entry", buf)
+	}
+
+	phys := as.phys
+	if free := phys.Stats().FreeFrames; free != 0 {
+		t.Fatalf("%d frames free while the checkpoint is in flight", free)
+	}
+	release()
+	if free := phys.Stats().FreeFrames; free != 1 {
+		t.Fatalf("%d frames free after release, want the displaced one", free)
+	}
+	if pg := phys.Page(recs[0].Page.Frame()); pg != nil {
+		t.Fatalf("displaced frame %d still has page metadata", recs[0].Page.Frame())
+	}
+	reader.Read(0x100000, buf)
+	if string(buf) != "MUTATED!" {
+		t.Fatalf("after release reader sees %q", buf)
+	}
+}
+
 func TestWriteWithoutCheckpointNoCOW(t *testing.T) {
 	as := newAS()
 	mapRegion(t, as, "r", 0x100000, 8, true)
