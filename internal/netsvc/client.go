@@ -3,6 +3,7 @@ package netsvc
 import (
 	"errors"
 	"net" //lint:allow sockio reference client for the real-TCP data plane
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,12 +45,29 @@ type clientSlot struct {
 // response can never be delivered to the wrong caller. Do transparently
 // retries RETRY_AFTER responses after the server's backoff hint —
 // the client half of the wire backpressure contract.
+//
+// Writes combine: a request appends its frame to a shared pending
+// buffer, and the caller that finds no write in progress becomes the
+// writer and flushes everything queued, one Write per batch, until the
+// queue is empty. A lone request is written at once; see send.
 type Client struct {
 	c     net.Conn
-	wmu   sync.Mutex
 	slots []clientSlot
 	free  chan uint32
 	done  chan struct{}
+
+	// wmu guards the write-combining state. pending collects frames
+	// for the next Write; the active writer owns spare (the batch being
+	// written) and swaps the two. writeErr, once set, fails every
+	// later send.
+	wmu      sync.Mutex
+	pending  []byte
+	spare    []byte
+	writing  bool
+	writeErr error
+	// burst reports that the read loop's last read delivered more than
+	// one response, so a herd of woken callers is about to send.
+	burst atomic.Bool
 
 	retries  atomic.Int64
 	closed   atomic.Bool
@@ -75,11 +93,18 @@ func Dial(addr string, depth int) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newClient(nc, depth), nil
+}
+
+// newClient runs the client protocol over an established connection.
+func newClient(nc net.Conn, depth int) *Client {
 	c := &Client{
-		c:     nc,
-		slots: make([]clientSlot, depth),
-		free:  make(chan uint32, depth),
-		done:  make(chan struct{}),
+		c:       nc,
+		slots:   make([]clientSlot, depth),
+		free:    make(chan uint32, depth),
+		done:    make(chan struct{}),
+		pending: make([]byte, 0, 128*depth),
+		spare:   make([]byte, 0, 128*depth),
 	}
 	for i := range c.slots {
 		c.slots[i].ch = make(chan proto.Response, 1)
@@ -87,13 +112,16 @@ func Dial(addr string, depth int) (*Client, error) {
 		c.free <- uint32(i)
 	}
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 // readLoop routes response frames to their slots by id.
+//
+//memsnap:hotpath
 func (c *Client) readLoop() {
 	fr := proto.NewFrameReader(c.c, 0)
 	var p proto.Response
+	first := true // the next frame is the first of a read
 	for {
 		payload, err := fr.Next()
 		if err != nil {
@@ -106,6 +134,13 @@ func (c *Client) readLoop() {
 			close(c.done)
 			return
 		}
+		// Frames still buffered behind the first one of a read mean a
+		// burst: the callers it wakes will send together.
+		more := fr.Buffered() > 0
+		if first {
+			c.burst.Store(more)
+		}
+		first = !more
 		slot := uint32(p.ID & 0xffffffff)
 		if int(slot) >= len(c.slots) {
 			continue // not ours; ignore
@@ -151,10 +186,8 @@ func (c *Client) DoOnce(q *proto.Request) (proto.Response, error) {
 		c.free <- slot
 		return proto.Response{}, err
 	}
-	c.wmu.Lock()
-	_, err = c.c.Write(s.buf)
-	c.wmu.Unlock()
-	if err != nil {
+	if err := c.send(s.buf); err != nil {
+		s.id.Store(0)
 		c.free <- slot
 		return proto.Response{}, err
 	}
@@ -181,6 +214,55 @@ func (c *Client) DoOnce(q *proto.Request) (proto.Response, error) {
 		c.free <- slot
 		return proto.Response{}, c.closeErr()
 	}
+}
+
+// send queues one encoded frame and, unless another caller is already
+// writing, becomes the writer: it flushes the queue one Write per batch
+// until it is empty, so requests arriving during a Write leave in the
+// next one. A lone request goes out at once. Only when the read loop
+// just woke a burst of callers does the writer yield once before its
+// first Write, letting the rest of the burst queue behind it. A failed
+// Write records the error and closes the connection: queued callers
+// whose frames were lost then fail through done, and later sends fail
+// here.
+//
+//memsnap:hotpath
+func (c *Client) send(frame []byte) error {
+	c.wmu.Lock()
+	if err := c.writeErr; err != nil {
+		c.wmu.Unlock()
+		return err
+	}
+	c.pending = append(c.pending, frame...)
+	if c.writing {
+		c.wmu.Unlock()
+		return nil // the active writer flushes it
+	}
+	c.writing = true
+	c.wmu.Unlock()
+	if c.burst.Load() {
+		runtime.Gosched()
+	}
+	c.wmu.Lock()
+	for len(c.pending) > 0 {
+		batch := c.pending
+		c.pending = c.spare[:0]
+		c.wmu.Unlock()
+		_, err := c.c.Write(batch)
+		c.wmu.Lock()
+		c.spare = batch[:0]
+		if err != nil {
+			c.writeErr = err
+			c.pending = c.pending[:0]
+			c.writing = false
+			c.wmu.Unlock()
+			c.c.Close()
+			return err
+		}
+	}
+	c.writing = false
+	c.wmu.Unlock()
+	return nil
 }
 
 // finishTrace records the client round-trip span of a sampled request

@@ -84,15 +84,20 @@ type Server struct {
 // Serve starts a server for svc on addr (e.g. "127.0.0.1:0") and
 // begins accepting connections.
 func Serve(addr string, svc *shard.Service, cfg Config) (*Server, error) {
-	cfg.fill()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
+	return serveListener(ln, svc, cfg), nil
+}
+
+// serveListener starts a server accepting on ln.
+func serveListener(ln net.Listener, svc *shard.Service, cfg Config) *Server {
+	cfg.fill()
 	s := &Server{cfg: cfg, svc: svc, ln: ln, conns: map[*conn]bool{}}
 	s.wg.Add(1)
 	go s.acceptLoop()
-	return s, nil
+	return s
 }
 
 // Addr returns the listener's address (host:port).

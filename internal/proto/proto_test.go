@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -276,5 +277,140 @@ func TestFrameReaderReusesBuffer(t *testing.T) {
 	}
 	if &fr.buf[0] != before {
 		t.Error("frame buffer reallocated for same-size frames")
+	}
+}
+
+// chunkReader hands out at most chunk bytes per Read and counts the
+// calls: the stand-in for a socket whose every Read is one syscall.
+type chunkReader struct {
+	r     io.Reader
+	chunk int
+	reads int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	c.reads++
+	if len(p) > c.chunk {
+		p = p[:c.chunk]
+	}
+	return c.r.Read(p)
+}
+
+func backToBackFrames(t *testing.T, n int) []byte {
+	t.Helper()
+	var wire []byte
+	var err error
+	for i := 0; i < n; i++ {
+		wire, err = AppendRequest(wire, &Request{ID: uint64(i), Kind: KindAdd, Tenant: []byte("tenant"), Key: []byte("key"), Value: uint64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return wire
+}
+
+// TestFrameReaderReadsPerBurst counts source reads deterministically:
+// the reader must return every complete frame it has buffered before
+// reading again, so 100 back-to-back frames cost one Read per chunk
+// the source hands out, plus the one that sees EOF.
+func TestFrameReaderReadsPerBurst(t *testing.T) {
+	wire := backToBackFrames(t, 100)
+	for _, chunk := range []int{7, 100, 1000, 1 << 20} {
+		src := &chunkReader{r: bytes.NewReader(wire), chunk: chunk}
+		fr := NewFrameReader(src, 0)
+		frames := 0
+		for {
+			_, err := fr.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("chunk %d: %v", chunk, err)
+			}
+			frames++
+		}
+		if frames != 100 {
+			t.Fatalf("chunk %d: %d frames, want 100", chunk, frames)
+		}
+		want := (len(wire)+chunk-1)/chunk + 1
+		if src.reads != want {
+			t.Errorf("chunk %d: %d reads for %d bytes, want ceil(bytes/chunk)+1 = %d", chunk, src.reads, len(wire), want)
+		}
+	}
+}
+
+type frameResult struct {
+	payload string
+	err     error
+}
+
+func readAllFrames(fr *FrameReader) []frameResult {
+	var out []frameResult
+	for i := 0; i < 1000; i++ {
+		payload, err := fr.Next()
+		out = append(out, frameResult{string(payload), err})
+		if err != nil {
+			break
+		}
+	}
+	return out
+}
+
+// TestFrameReaderChunkingInvariant feeds the same streams through
+// whole, one-byte, two-byte and data-with-EOF readers: payloads, the
+// terminating error and the byte accounting must not depend on how
+// the source splits its bytes.
+func TestFrameReaderChunkingInvariant(t *testing.T) {
+	frames := backToBackFrames(t, 5)
+	big, err := AppendRequest(nil, &Request{ID: 9, Kind: KindPut, Tenant: bytes.Repeat([]byte("t"), MaxStringLen), Key: bytes.Repeat([]byte("k"), MaxStringLen), Value: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	streams := map[string]struct {
+		wire  []byte
+		final error
+	}{
+		"clean":           {frames, io.EOF},
+		"cut mid-prefix":  {cat(frames, []byte{0, 0}), io.ErrUnexpectedEOF},
+		"cut mid-payload": {cat(frames, big[:len(big)-3]), io.ErrUnexpectedEOF},
+		"zero prefix":     {cat(frames, []byte{0, 0, 0, 0, 1}), ErrTruncated},
+		"oversized":       {cat(frames, []byte{0xff, 0xff, 0xff, 0xff, 1}), ErrFrameTooLarge},
+		"grows past 32K":  {cat(frames, big, big, frames), io.EOF},
+		"empty":           {nil, io.EOF},
+	}
+	for name, st := range streams {
+		wire := st.wire
+		ref := NewFrameReader(bytes.NewReader(wire), 0)
+		want := readAllFrames(ref)
+		if last := want[len(want)-1].err; last != st.final {
+			t.Fatalf("%s: stream ends with %v, want %v", name, last, st.final)
+		}
+		for _, src := range []struct {
+			name string
+			r    io.Reader
+		}{
+			{"one-byte", iotest.OneByteReader(bytes.NewReader(wire))},
+			{"two-byte", &chunkReader{r: bytes.NewReader(wire), chunk: 2}},
+			{"data+EOF", iotest.DataErrReader(bytes.NewReader(wire))},
+		} {
+			fr := NewFrameReader(src.r, 0)
+			got := readAllFrames(fr)
+			if len(got) != len(want) {
+				t.Fatalf("%s/%s: %d results, want %d", name, src.name, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].payload != want[i].payload || got[i].err != want[i].err {
+					t.Fatalf("%s/%s: result %d = (%d bytes, %v), want (%d bytes, %v)", name, src.name, i,
+						len(got[i].payload), got[i].err, len(want[i].payload), want[i].err)
+				}
+			}
+			if fr.BytesRead() != ref.BytesRead() {
+				t.Errorf("%s/%s: BytesRead %d, want %d", name, src.name, fr.BytesRead(), ref.BytesRead())
+			}
+			if len(fr.buf) > MaxFrame {
+				t.Errorf("%s/%s: buffer grew to %d", name, src.name, len(fr.buf))
+			}
+		}
 	}
 }
