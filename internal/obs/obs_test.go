@@ -156,7 +156,7 @@ func TestTrackNames(t *testing.T) {
 func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	var h Histogram
 	h.Record(0)
-	h.Record(1)                    // bucket 1: (0, 2)
+	h.Record(1) // bucket 1: (0, 2)
 	h.Record(100 * time.Nanosecond)
 	h.Record(time.Microsecond)
 	h.Record(time.Millisecond)

@@ -161,7 +161,7 @@ func TestWriteTraceFlowEvents(t *testing.T) {
 		{Kind: KindSpan, Cat: CatNet, Name: NameClientRequest, Track: ClientTrack(0), Start: 0, Dur: 4 * time.Millisecond, Flow: flow},
 		{Kind: KindSpan, Cat: CatNet, Name: NameNetRequest, Track: NetTrack(0), Start: time.Millisecond, Dur: 2 * time.Millisecond, Flow: flow},
 		{Kind: KindSpan, Cat: CatShard, Name: NameGroupCommit, Track: ShardTrack(0), Start: 2 * time.Millisecond, Dur: time.Millisecond, Flow: flow},
-		{Kind: KindSpan, Cat: CatShard, Name: NameGroupCommit, Track: ShardTrack(1), Start: 0, Dur: time.Millisecond}, // no flow
+		{Kind: KindSpan, Cat: CatShard, Name: NameGroupCommit, Track: ShardTrack(1), Start: 0, Dur: time.Millisecond},              // no flow
 		{Kind: KindSpan, Cat: CatNet, Name: NameClientRequest, Track: ClientTrack(1), Start: 0, Dur: time.Millisecond, Flow: 0x77}, // single-span flow
 	}
 	var buf bytes.Buffer
