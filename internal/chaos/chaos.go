@@ -36,11 +36,13 @@
 // -cell, or RunCell) reproduces the run: the workload stream, fault
 // instants, and final per-shard digests are bit-for-bit identical
 // across reruns. Schedules that exercise genuine pipelined
-// concurrency (the drain burst racing Close) can shift group-commit
-// composition between runs, so virtual-time instants may drift there;
-// the surviving state, and every invariant verdict, may not. Cells
-// share process-global pools, so cells must not run concurrently; Run
-// executes them sequentially.
+// concurrency (the drain burst racing Close) are the exception: they
+// can shift group-commit composition between runs, so virtual-time
+// instants may drift there, and on topo=net the final per-shard
+// digests can differ between reruns too (op, admission and response
+// counts stay equal). Every invariant verdict must hold on every run
+// regardless. Cells share process-global pools, so cells must not run
+// concurrently; Run executes them sequentially.
 package chaos
 
 import (
@@ -140,12 +142,13 @@ type CellResult struct {
 	Recoveries  int `json:"recoveries"`
 	// Digests are the primary's final per-shard page digests at the
 	// pre-audit quiesce point (hex); a cell rerun from the same ID
-	// must reproduce them bit for bit.
+	// reproduces them bit for bit, except drain cells on topo=net.
 	Digests []string `json:"digests,omitempty"`
 	// VirtualEnd is the primary's virtual clock when the cell
 	// finished, before the final audit. Deterministic except under
 	// schedules with pipelined concurrency (drain), where batching
-	// composition — but never surviving state — varies.
+	// composition varies between reruns; on topo=net the surviving
+	// state (Digests) can vary with it.
 	VirtualEnd time.Duration `json:"virtual_end"`
 	// BundlePath is where the cell's flight-recorder bundle was
 	// written (failing cells only, and only when Config.BundleDir is

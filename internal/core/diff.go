@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 
 	"memsnap/internal/pool"
@@ -68,7 +69,11 @@ func DiffExtents(prev, cur []byte, dst []Extent) []Extent {
 	n := len(cur)
 	i := 0
 	for i < n {
-		// Skip equal bytes, 8 at a time while aligned chunks remain.
+		// Skip equal bytes: 64 at a time (bytes.Equal is vectorized),
+		// then 8, then 1.
+		for i+64 <= n && bytes.Equal(prev[i:i+64], cur[i:i+64]) {
+			i += 64
+		}
 		for i+8 <= n {
 			if binary.LittleEndian.Uint64(prev[i:]) != binary.LittleEndian.Uint64(cur[i:]) {
 				break

@@ -159,10 +159,7 @@ func (d *Device) submitWriteV(at time.Duration, segs []Extent, total int) time.D
 	d.nextFree = completion
 	for _, s := range segs {
 		d.checkRange(s.Offset, len(s.Data))
-		buf, old := getOldBuf(len(s.Data))
-		d.data.readAt(s.Offset, old)
-		d.inflight = append(d.inflight, inflightWrite{submit: at, completion: completion, offset: s.Offset, oldData: old, buf: buf})
-		d.data.writeAt(s.Offset, s.Data)
+		d.applyLocked(at, completion, s.Offset, s.Data)
 		d.bytesWritten += int64(len(s.Data))
 	}
 	d.writes++

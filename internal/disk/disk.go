@@ -27,14 +27,11 @@ import (
 	"memsnap/internal/sim"
 )
 
-// Size-classed pools for the pre-write contents snapshots (oldData)
-// the tear model keeps per in-flight write. The two classes cover the
-// store's IO units (sectors and blocks); larger writes fall back to
+// oldBufSector pools the sector-sized pre-write contents snapshots
+// (oldData) the tear model keeps per in-flight sub-page write;
+// block-sized ones come from pagePool, and larger writes fall back to
 // plain allocation.
-var (
-	oldBufSector = pool.NewPagePool(512)
-	oldBufBlock  = pool.NewPagePool(4096)
-)
+var oldBufSector = pool.NewPagePool(512)
 
 // getOldBuf returns an n-byte scratch buffer plus its pool handle
 // (nil when n falls outside the pooled size classes); the caller
@@ -46,8 +43,8 @@ func getOldBuf(n int) (*pool.Page, []byte) {
 	case n <= 512:
 		pg := oldBufSector.Get()
 		return pg, pg.Data[:n]
-	case n <= 4096:
-		pg := oldBufBlock.Get()
+	case n <= pageSize:
+		pg := pagePool.Get()
 		return pg, pg.Data[:n]
 	}
 	//lint:allow hotalloc oversize old-data reads bypass the sector/block pools; rare
@@ -59,7 +56,7 @@ type Device struct {
 	costs *sim.CostModel
 
 	mu       sync.Mutex
-	data     *sparseBuf
+	data     *pageTable
 	nextFree time.Duration
 	inflight []inflightWrite
 	// gcFloor is the highest horizon gcInflightLocked has reclaimed
@@ -84,7 +81,9 @@ type inflightWrite struct {
 	offset     int64
 	oldData    []byte
 	// buf is oldData's pool handle, released when the record is
-	// dropped (gc or power cut); nil for unpooled buffers.
+	// dropped (gc or power cut); nil for unpooled buffers. For a
+	// whole-page write it is the page the write displaced, or the
+	// shared zero page (whose Release is a no-op).
 	buf *pool.Page
 }
 
@@ -93,7 +92,7 @@ func NewDevice(costs *sim.CostModel, capacity int64) *Device {
 	if costs == nil {
 		costs = sim.DefaultCosts()
 	}
-	return &Device{costs: costs, data: newSparseBuf(capacity)}
+	return &Device{costs: costs, data: newPageTable(capacity)}
 }
 
 // Capacity returns the device size in bytes.
@@ -155,15 +154,32 @@ func (d *Device) SubmitWrite(at time.Duration, offset int64, data []byte) time.D
 	completion := start + d.ioCostLocked(start, len(data))
 	d.nextFree = completion
 
-	buf, old := getOldBuf(len(data))
-	d.data.readAt(offset, old)
-	d.inflight = append(d.inflight, inflightWrite{submit: at, completion: completion, offset: offset, oldData: old, buf: buf})
-	d.data.writeAt(offset, data)
-
+	d.applyLocked(at, completion, offset, data)
 	d.writes++
 	d.bytesWritten += int64(len(data))
 	d.gcInflightLocked(at)
 	return completion
+}
+
+// applyLocked lands one write segment in the store and parks its undo
+// record in d.inflight. A segment covering exactly one aligned page
+// swaps in a fresh page and keeps the displaced one as the undo
+// record, so the block is copied once; any other segment snapshots the
+// bytes it overwrites and writes in place.
+//
+//memsnap:owns
+func (d *Device) applyLocked(at, completion time.Duration, offset int64, data []byte) {
+	var buf *pool.Page
+	var old []byte
+	if len(data) == pageSize && offset%pageSize == 0 {
+		buf = d.data.swapPage(offset, data)
+		old = buf.Data
+	} else {
+		buf, old = getOldBuf(len(data))
+		d.data.readAt(offset, old)
+		d.data.writeAt(offset, data)
+	}
+	d.inflight = append(d.inflight, inflightWrite{submit: at, completion: completion, offset: offset, oldData: old, buf: buf})
 }
 
 // SubmitRead issues a read at virtual time at, fills buf, and returns

@@ -209,19 +209,3 @@ func unmarshalCommitRecord(buf []byte) (*commitRecord, bool) {
 	}
 	return r, true
 }
-
-// marshalNodeInto serializes a tree node into a caller-owned
-// BlockSize buffer.
-func marshalNodeInto(buf []byte, children []int64) {
-	for i, c := range children {
-		binary.LittleEndian.PutUint64(buf[i*8:], uint64(c))
-	}
-}
-
-func unmarshalNode(buf []byte) []int64 {
-	children := make([]int64, treeFanout)
-	for i := range children {
-		children[i] = int64(binary.LittleEndian.Uint64(buf[i*8:]))
-	}
-	return children
-}

@@ -30,10 +30,10 @@ type Object struct {
 type commitScratch struct {
 	freed   []int64
 	extents []disk.Extent
-	// nodeBufs are BlockSize marshal buffers for dirty tree nodes;
+	// nodeBufs are BlockSize buffers that pad short data writes;
 	// nused counts how many are handed out this commit. The buffers
 	// must stay live until WriteV returns (the disk copies
-	// synchronously), so they cannot be shared across nodes.
+	// synchronously), so they cannot be shared across writes.
 	nodeBufs [][]byte
 	nused    int
 	recBuf   []byte // commit-record sector scratch
@@ -185,7 +185,7 @@ func (o *Object) serializeNode(at time.Duration, n *node, levelsLeft int) (int64
 			if err != nil {
 				return 0, err
 			}
-			n.children[i] = addr
+			n.setChild(i, addr)
 		}
 	}
 	n.dirty = false
@@ -197,9 +197,9 @@ func (o *Object) serializeNode(at time.Duration, n *node, levelsLeft int) (int64
 		return 0, err
 	}
 	n.addr = addr
-	buf := sc.nodeBuf()
-	marshalNodeInto(buf, n.children)
-	sc.extents = append(sc.extents, disk.Extent{Offset: addr, Data: buf})
+	// The image is final here (dirty children were rewritten above)
+	// and the disk copies it before Commit returns.
+	sc.extents = append(sc.extents, disk.Extent{Offset: addr, Data: n.img})
 	return addr, nil
 }
 

@@ -143,12 +143,12 @@ func (s *Store) loadObject(e dirEntry, at time.Duration, used usedSet) (*Object,
 // loadNode reads a serialized tree node and its descendants.
 func (s *Store) loadNode(addr int64, levelsLeft int, at time.Duration, used usedSet) (*node, time.Duration, error) {
 	used[addr] = true
-	buf := make([]byte, BlockSize)
-	at = s.arr.Read(at, addr, buf)
-	n := &node{addr: addr, children: unmarshalNode(buf)}
+	n := &node{addr: addr, img: make([]byte, BlockSize)}
+	at = s.arr.Read(at, addr, n.img)
 	if levelsLeft > 1 {
 		n.kids = make([]*node, treeFanout)
-		for i, child := range n.children {
+		for i := 0; i < treeFanout; i++ {
+			child := n.child(i)
 			if child == 0 {
 				continue
 			}

@@ -15,6 +15,7 @@
 package pool
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 )
@@ -97,12 +98,37 @@ type SlicePool[T any] struct {
 	full  sync.Pool // *item[T] with s != nil
 	empty sync.Pool // *item[T] with s == nil
 	c     counters
+	// pointers records whether T holds pointers: only then must Put
+	// zero the backing array so it retains no references.
+	pointers bool
 }
 
 type item[T any] struct{ s []T }
 
 // NewSlicePool returns an empty slice pool.
-func NewSlicePool[T any]() *SlicePool[T] { return &SlicePool[T]{} }
+func NewSlicePool[T any]() *SlicePool[T] {
+	return &SlicePool[T]{pointers: hasPointers(reflect.TypeOf((*T)(nil)).Elem())}
+}
+
+// hasPointers reports whether a value of type t can reference memory.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	}
+	return true
+}
 
 // Get returns a zero-length slice, freshly allocated with capHint
 // capacity when the pool is empty.
@@ -122,14 +148,18 @@ func (p *SlicePool[T]) Get(capHint int) []T {
 	return make([]T, 0, capHint)
 }
 
-// Put recycles s. Elements are zeroed first so the backing array does
-// not retain references. Zero-capacity slices are dropped.
+// Put recycles s. When T holds pointers the elements are zeroed first
+// so the backing array does not retain references; pointer-free
+// contents are left as they are (Get returns length 0). Zero-capacity
+// slices are dropped.
 func (p *SlicePool[T]) Put(s []T) {
 	if cap(s) == 0 {
 		return
 	}
 	p.c.puts.Add(1)
-	clear(s[:cap(s)])
+	if p.pointers {
+		clear(s[:cap(s)])
+	}
 	it, _ := p.empty.Get().(*item[T])
 	if it == nil {
 		//lint:allow hotalloc wrapper-item pool miss; items recycle in steady state

@@ -105,3 +105,32 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		t.Fatalf("warm Get/Put cycle allocates %.1f/op, want 0", avg)
 	}
 }
+
+// TestSlicePoolPointerDetection pins which element types Put must
+// zero: any type that can reference memory, and nothing else.
+func TestSlicePoolPointerDetection(t *testing.T) {
+	type flat struct {
+		Off, Len uint16
+		Words    [4]int64
+	}
+	type withSlice struct {
+		N    int
+		Data []byte
+	}
+	cases := []struct {
+		name      string
+		got, want bool
+	}{
+		{"byte", NewSlicePool[byte]().pointers, false},
+		{"flat struct", NewSlicePool[flat]().pointers, false},
+		{"*int", NewSlicePool[*int]().pointers, true},
+		{"string", NewSlicePool[string]().pointers, true},
+		{"struct with slice", NewSlicePool[withSlice]().pointers, true},
+		{"[2]any", NewSlicePool[[2]any]().pointers, true},
+	}
+	for _, c := range cases {
+		if c.got != c.want {
+			t.Errorf("%s: pointers = %v, want %v", c.name, c.got, c.want)
+		}
+	}
+}

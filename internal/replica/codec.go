@@ -68,28 +68,39 @@ func fnv64(b []byte) uint64 {
 }
 
 // xorRLESize returns the payload size of a kindXorRLE encoding of cur
-// against prev without materializing it.
+// against prev without materializing it. ext is the page's diff (see
+// core.DiffExtents): every byte outside it is equal, so only the
+// extents are scanned and the zero runs between them are sized from
+// their offsets.
 //
 //memsnap:hotpath
-func xorRLESize(prev, cur []byte) int {
+func xorRLESize(prev, cur []byte, ext []core.Extent) int {
 	size := 16 // base + new hash
-	i, n := 0, len(cur)
-	for i < n {
-		z := i
-		for z < n && prev[z] == cur[z] {
-			z++
+	n := len(cur)
+	zeroStart, i := 0, 0
+	for _, e := range ext {
+		if off := int(e.Off); i < off {
+			i = off
 		}
-		size += uvarintLen(uint64(z - i))
-		i = z
-		if i >= n {
-			break
+		end := int(e.Off) + int(e.Len)
+		for i < end {
+			for i < end && prev[i] == cur[i] {
+				i++
+			}
+			if i >= end {
+				break
+			}
+			size += uvarintLen(uint64(i - zeroStart))
+			l := i
+			for l < n && prev[l] != cur[l] {
+				l++
+			}
+			size += uvarintLen(uint64(l-i)) + (l - i)
+			i, zeroStart = l, l
 		}
-		l := i
-		for l < n && prev[l] != cur[l] {
-			l++
-		}
-		size += uvarintLen(uint64(l-i)) + (l - i)
-		i = l
+	}
+	if zeroStart < n {
+		size += uvarintLen(uint64(n - zeroStart))
 	}
 	return size
 }
@@ -165,7 +176,7 @@ func appendPageFrame(dst []byte, pg *core.CommittedPage, forceFull bool) (out []
 		if s := extentsSize(pg.Extents); s < best {
 			kind, best = kindExtents, s
 		}
-		if s := xorRLESize(pg.Prev, pg.Data); s < best {
+		if s := xorRLESize(pg.Prev, pg.Data, pg.Extents); s < best {
 			kind, best = kindXorRLE, s
 		}
 	}
